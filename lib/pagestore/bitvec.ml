@@ -6,9 +6,20 @@ type t = {
 }
 
 let create n =
-  if n <= 0 then invalid_arg "Bitvec.create: non-positive length";
+  if n < 0 then invalid_arg "Bitvec.create: negative length";
   let nwords = (n + bits_per_word - 1) / bits_per_word in
   { n; words = Array.init nwords (fun _ -> Atomic.make 0) }
+
+let extend t n =
+  if n < t.n then invalid_arg "Bitvec.extend: shorter length";
+  let nwords = (n + bits_per_word - 1) / bits_per_word in
+  let old = Array.length t.words in
+  {
+    n;
+    words =
+      Array.init nwords (fun w ->
+          Atomic.make (if w < old then Atomic.get t.words.(w) else 0));
+  }
 
 let length t = t.n
 

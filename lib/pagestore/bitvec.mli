@@ -7,7 +7,12 @@
 type t
 
 val create : int -> t
-(** [create n] is a vector of [n] clear bits. *)
+(** [create n] is a vector of [n] clear bits ([n] may be 0). *)
+
+val extend : t -> int -> t
+(** [extend t n] is a fresh vector of [n >= length t] bits: [t]'s bits,
+    then clear ones. Updates to [t] made while it copies may be lost, so
+    callers serialize it against them. *)
 
 val length : t -> int
 

@@ -9,34 +9,69 @@ type lock = {
 }
 
 type t = {
-  registry : Mutex.t;  (* serializes lock-field assignment and recycling *)
-  locks : lock array;
-  bits : Bitvec.t;
+  registry : Mutex.t;  (* serializes lock-field assignment, recycling and growth *)
+  capacity : int;
+  mutable locks : lock array;  (* ids [0, length); [vacant] until first handed out *)
+  mutable bits : Bitvec.t;     (* as long as [locks] *)
   mutable in_use : int;
   mutable peak : int;
 }
+
+(* Placeholder for table slots whose id has never been handed out. It is
+   never returned by [monitor_enter], so its mutex is never taken. *)
+let vacant = { id = -1; mu = Mutex.create (); owner = -1; entries = 0; blockers = 0 }
+
+let min_table = 8
 
 let create ?(capacity = 512) () =
   if capacity <= 0 || capacity > Layout_rt.max_lock_id then
     invalid_arg "Lock_pool.create: capacity out of range";
   {
     registry = Mutex.create ();
-    locks =
-      Array.init capacity (fun id ->
-          { id; mu = Mutex.create (); owner = -1; entries = 0; blockers = 0 });
-    bits = Bitvec.create capacity;
+    capacity;
+    locks = [||];
+    bits = Bitvec.create 0;
     in_use = 0;
     peak = 0;
   }
 
-let capacity t = Array.length t.locks
+let capacity t = t.capacity
+
+(* The lowest free id, doubling the table (up to [capacity]) when every id
+   in it is taken; ids stay dense because the bit vector hands out its
+   lowest clear bit. Called under [registry]. *)
+let rec acquire_id t =
+  match Bitvec.acquire_first_free t.bits with
+  | Some _ as id -> id
+  | None ->
+      let n = Array.length t.locks in
+      if n = t.capacity then None
+      else begin
+        let n' = min t.capacity (max min_table (2 * n)) in
+        let locks = Array.make n' vacant in
+        Array.blit t.locks 0 locks 0 n;
+        t.locks <- locks;
+        t.bits <- Bitvec.extend t.bits n';
+        acquire_id t
+      end
+
+(* The lock for a freshly handed-out [id], made the first time [id] is
+   used. Called under [registry]. *)
+let lock_for t id =
+  let l = t.locks.(id) in
+  if l != vacant then l
+  else begin
+    let l = { id; mu = Mutex.create (); owner = -1; entries = 0; blockers = 0 } in
+    t.locks.(id) <- l;
+    l
+  end
 
 let monitor_enter t store addr ~thread =
   Mutex.lock t.registry;
   let field = Store.get_lock_field store addr in
   let l =
     if field = 0 then begin
-      match Bitvec.acquire_first_free t.bits with
+      match acquire_id t with
       | None ->
           Mutex.unlock t.registry;
           raise Pool_exhausted
@@ -44,7 +79,7 @@ let monitor_enter t store addr ~thread =
           t.in_use <- t.in_use + 1;
           if t.in_use > t.peak then t.peak <- t.in_use;
           Store.set_lock_field store addr (id + 1);
-          t.locks.(id)
+          lock_for t id
     end
     else t.locks.(field - 1)
   in

@@ -11,7 +11,13 @@
 type t
 
 val create : ?capacity:int -> unit -> t
-(** [capacity] defaults to 512 locks; 2-byte lock ids cap it at 2^15. *)
+(** [capacity] defaults to 512 locks; 2-byte lock ids cap it at 2^15.
+    Locks are made on demand: [create] builds no lock and no mutex, the
+    first [monitor_enter] to hand out an id makes that id's lock, and the
+    lock table doubles up to [capacity] as ids are needed. A run that
+    never synchronizes pays a few words, not [capacity] mutexes (each a
+    custom block with a finalizer, which drove a GC per run when built
+    eagerly). *)
 
 val capacity : t -> int
 

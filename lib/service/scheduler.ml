@@ -96,9 +96,6 @@ let execute t (job : job) (tn : Tenant.t) =
     | Some e -> e
     | None -> assert false (* admission resolved it *)
   in
-  Obs.Tracer.instant tn.Tenant.tracer ~cat:"service"
-    ~args:[ ("job", Obs.Tracer.Aint job.j_id) ]
-    "job_start";
   let result =
     try
       Ok
@@ -158,6 +155,11 @@ let runner_loop t =
             job.j_start <- now ();
             t.running <- t.running + 1;
             let tn = Hashtbl.find t.tenants job.j_tenant in
+            (* Under [t.mu] like [job_submit] and [job_done]: every runner
+               and connection thread writes the tenant's one tracer lane. *)
+            Obs.Tracer.instant tn.Tenant.tracer ~cat:"service"
+              ~args:[ ("job", Obs.Tracer.Aint job.j_id) ]
+              "job_start";
             Mutex.unlock t.mu;
             Some (job, tn)
         | None ->

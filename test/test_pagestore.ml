@@ -391,6 +391,103 @@ let test_lock_pool_parallel_domains () =
   Alcotest.(check int) "no lost updates" 2000 (Store.get_i32 s rec_ ~offset:4);
   Alcotest.(check int) "lock returned" 0 (PS.Lock_pool.locks_in_use lp)
 
+let alloc_records s n =
+  Array.init n (fun _ -> Store.alloc_record s ~thread:0 ~type_id:1 ~data_bytes:8)
+
+(* [Pool_exhausted] comes exactly when [capacity] locks are held: one more
+   record is refused and left unlocked, a reentrant enter on a held record
+   still succeeds, and releasing one lock makes room for the refused one. *)
+let test_lock_pool_exhausted () =
+  List.iter
+    (fun capacity ->
+      let name what = Printf.sprintf "capacity %d: %s" capacity what in
+      let s = mk_store () in
+      let lp = PS.Lock_pool.create ~capacity () in
+      let recs = alloc_records s (capacity + 1) in
+      let extra = recs.(capacity) and last = recs.(capacity - 1) in
+      for i = 0 to capacity - 1 do
+        PS.Lock_pool.monitor_enter lp s recs.(i) ~thread:0
+      done;
+      Alcotest.(check int) (name "all held") capacity (PS.Lock_pool.locks_in_use lp);
+      Alcotest.check_raises (name "one more") PS.Lock_pool.Pool_exhausted (fun () ->
+          PS.Lock_pool.monitor_enter lp s extra ~thread:0);
+      Alcotest.(check int) (name "refused record unlocked") 0 (Store.get_lock_field s extra);
+      Alcotest.(check int) (name "no bit leaked") capacity (PS.Lock_pool.bits_in_use lp);
+      PS.Lock_pool.monitor_enter lp s last ~thread:0;
+      PS.Lock_pool.monitor_exit lp s last ~thread:0;
+      let field = Store.get_lock_field s last in
+      PS.Lock_pool.monitor_exit lp s last ~thread:0;
+      PS.Lock_pool.monitor_enter lp s extra ~thread:0;
+      Alcotest.(check int) (name "freed id reused") field (Store.get_lock_field s extra);
+      Alcotest.(check int) (name "peak") capacity (PS.Lock_pool.peak_locks_in_use lp))
+    [ 1; 13; 512 ]
+
+(* Ids are dense across the lock table's growth points (8, 16, 32, ...):
+   the k-th record locked gets id k, and freed ids are handed out again,
+   lowest first, before the table grows. *)
+let test_lock_pool_dense_ids () =
+  let id_of s r = Store.get_lock_field s r - 1 in
+  List.iter
+    (fun capacity ->
+      let name what = Printf.sprintf "capacity %d: %s" capacity what in
+      let s = mk_store () in
+      let lp = PS.Lock_pool.create ~capacity () in
+      let recs = alloc_records s capacity in
+      Array.iteri
+        (fun k r ->
+          PS.Lock_pool.monitor_enter lp s r ~thread:0;
+          if id_of s r <> k then
+            Alcotest.failf "capacity %d: record %d got id %d" capacity k (id_of s r))
+        recs;
+      let freed = List.filter (fun k -> k < capacity) [ 0; 7; 8; 15; 16; 31; 32; 99 ] in
+      List.iter (fun k -> PS.Lock_pool.monitor_exit lp s recs.(k) ~thread:0) (List.rev freed);
+      let fresh = alloc_records s (List.length freed) in
+      let got =
+        List.map
+          (fun r ->
+            PS.Lock_pool.monitor_enter lp s r ~thread:0;
+            id_of s r)
+          (Array.to_list fresh)
+      in
+      Alcotest.(check (list int)) (name "freed ids reused lowest first") freed got;
+      Alcotest.(check int) (name "all held") capacity (PS.Lock_pool.locks_in_use lp))
+    [ 100; 512 ];
+  (* A freed id is reused before the table grows past its first 8. *)
+  let s = mk_store () in
+  let lp = PS.Lock_pool.create () in
+  let recs = alloc_records s 10 in
+  for k = 0 to 7 do
+    PS.Lock_pool.monitor_enter lp s recs.(k) ~thread:0
+  done;
+  PS.Lock_pool.monitor_exit lp s recs.(3) ~thread:0;
+  PS.Lock_pool.monitor_enter lp s recs.(8) ~thread:0;
+  PS.Lock_pool.monitor_enter lp s recs.(9) ~thread:0;
+  Alcotest.(check (pair int int)) "id 3, then growth to 8" (3, 8)
+    (id_of s recs.(8), id_of s recs.(9))
+
+(* Words [f ()] allocates on the minor and major heaps, net of what the
+   measurement itself allocates; promoted words are counted once. *)
+let words_allocated f =
+  let measure f =
+    let minor0 = Gc.minor_words () in
+    let s0 = Gc.quick_stat () in
+    ignore (Sys.opaque_identity (f ()));
+    let s1 = Gc.quick_stat () in
+    let minor1 = Gc.minor_words () in
+    minor1 -. minor0 +. (s1.Gc.major_words -. s0.Gc.major_words)
+    -. (s1.Gc.promoted_words -. s0.Gc.promoted_words)
+  in
+  let least f = List.fold_left Float.min infinity (List.init 5 (fun _ -> measure f)) in
+  int_of_float (least f -. least (fun () -> ()))
+
+(* Creating a pool builds no lock, so its cost does not depend on its
+   capacity: an eager pool would allocate a mutex per lock. *)
+let test_lock_pool_create_allocation () =
+  let w512 = words_allocated (fun () -> PS.Lock_pool.create ~capacity:512 ()) in
+  let wmax = words_allocated (fun () -> PS.Lock_pool.create ~capacity:32767 ()) in
+  Alcotest.(check int) "independent of capacity" w512 wmax;
+  if w512 >= 64 then Alcotest.failf "create allocates %d words (>= 64)" w512
+
 let test_store_parallel_domain_alloc () =
   (* Two Domains allocate through their own page managers concurrently;
      the shared page pool is mutex-protected, and every record must be
@@ -477,6 +574,70 @@ let prop_store_matches_model =
         ops;
       !ok)
 
+(* Model test: random enter, reentrant-enter and exit sequences on a few
+   records, from one logical thread. The model hands out the lowest free
+   id and refuses when [capacity] ids are taken; after every step the
+   pool's counters and each record's lock field must agree with it. *)
+let prop_lock_pool_matches_model =
+  let nrec = 24 in
+  let op_gen =
+    QCheck.Gen.(pair (oneofl [ `Enter; `Reenter; `Exit ]) (int_bound (nrec - 1)))
+  in
+  QCheck.Test.make ~name:"lock pool agrees with a reference model" ~count:200
+    (QCheck.make QCheck.Gen.(pair (int_range 1 20) (list_size (int_range 1 300) op_gen)))
+    (fun (capacity, ops) ->
+      let s = mk_store () in
+      let lp = PS.Lock_pool.create ~capacity () in
+      let recs = alloc_records s nrec in
+      (* Per record: reentrancy depth and lock id (-1 when unlocked). *)
+      let depth = Array.make nrec 0 and id = Array.make nrec (-1) in
+      let peak = ref 0 in
+      let held () = List.filter (fun r -> depth.(r) > 0) (List.init nrec Fun.id) in
+      let rec lowest_free k = if Array.mem k id then lowest_free (k + 1) else k in
+      let enter r =
+        let n = List.length (held ()) in
+        if depth.(r) = 0 && n = capacity then
+          match PS.Lock_pool.monitor_enter lp s recs.(r) ~thread:0 with
+          | exception PS.Lock_pool.Pool_exhausted -> true
+          | () -> false
+        else begin
+          PS.Lock_pool.monitor_enter lp s recs.(r) ~thread:0;
+          if depth.(r) = 0 then begin
+            id.(r) <- lowest_free 0;
+            peak := max !peak (n + 1)
+          end;
+          depth.(r) <- depth.(r) + 1;
+          true
+        end
+      in
+      let exit r =
+        PS.Lock_pool.monitor_exit lp s recs.(r) ~thread:0;
+        depth.(r) <- depth.(r) - 1;
+        if depth.(r) = 0 then id.(r) <- -1;
+        true
+      in
+      let step (op, r) =
+        (* [Reenter] and [Exit] pick among the held records. *)
+        let held = held () in
+        let pick () = List.nth held (r mod List.length held) in
+        match op with
+        | `Enter -> enter r
+        | (`Reenter | `Exit) when held = [] -> (
+            match PS.Lock_pool.monitor_exit lp s recs.(r) ~thread:0 with
+            | exception Invalid_argument _ -> true
+            | () -> false)
+        | `Reenter -> enter (pick ())
+        | `Exit -> exit (pick ())
+      in
+      let agrees () =
+        let n = List.length (held ()) in
+        PS.Lock_pool.locks_in_use lp = n
+        && PS.Lock_pool.bits_in_use lp = n
+        && PS.Lock_pool.peak_locks_in_use lp = !peak
+        && Array.for_all2 (fun r i -> Store.get_lock_field s r = i + 1) recs id
+      in
+      List.for_all (fun op -> step op && agrees ()) ops)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -486,6 +647,7 @@ let qsuite =
       prop_page_f64_roundtrip;
       prop_manager_allocations_disjoint;
       prop_store_matches_model;
+      prop_lock_pool_matches_model;
     ]
 
 let () =
@@ -545,6 +707,9 @@ let () =
           Alcotest.test_case "recycles ids" `Quick test_lock_pool_recycles_ids;
           Alcotest.test_case "exit errors" `Quick test_lock_pool_exit_errors;
           Alcotest.test_case "parallel domains" `Quick test_lock_pool_parallel_domains;
+          Alcotest.test_case "pool exhausted at capacity" `Quick test_lock_pool_exhausted;
+          Alcotest.test_case "dense ids across growth" `Quick test_lock_pool_dense_ids;
+          Alcotest.test_case "create allocation" `Quick test_lock_pool_create_allocation;
         ] );
       ("layout_rt", [ Alcotest.test_case "constants" `Quick test_layout_rt_constants ]);
       ("properties", qsuite);

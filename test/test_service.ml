@@ -222,6 +222,36 @@ let run_key (oc : P.outcome) =
 
 (* ---------- admission control ---------- *)
 
+(* Every job leaves job_submit, job_start and job_done on its tenant's
+   trace, in that order, while two submitter threads and two runners
+   write the tracer's one lane. *)
+let test_tenant_trace_lifecycle () =
+  let env = mk_sched ~tenants:[ ("t", generous) ] () in
+  let _, sched = env in
+  Fun.protect ~finally:(fun () -> teardown env) @@ fun () ->
+  let submitted = Array.make 2 [] in
+  let submitter k () = submitted.(k) <- List.init 8 (fun _ -> submit_ok sched (sub ())) in
+  List.iter Thread.join (List.init 2 (fun k -> Thread.create (submitter k) ()));
+  let ids = submitted.(0) @ submitted.(1) in
+  List.iter (fun id -> ignore (wait_done sched id)) ids;
+  let tn = Option.get (Sch.tenant sched "t") in
+  let events = Obs.Tracer.events tn.Tn.tracer in
+  List.iter
+    (fun id ->
+      let names =
+        List.filter_map
+          (fun (e : Obs.Tracer.event) ->
+            if List.mem ("job", Obs.Tracer.Aint id) e.Obs.Tracer.args then
+              Some e.Obs.Tracer.name
+            else None)
+          events
+      in
+      Alcotest.(check (list string))
+        (Printf.sprintf "job %d" id)
+        [ "job_submit"; "job_start"; "job_done" ]
+        names)
+    ids
+
 let test_admission_rejects () =
   let tiny = { Tn.q_pages = 2; q_heap_bytes = 1 lsl 20; q_inflight = 4 } in
   let low_heap = { Tn.q_pages = 4096; q_heap_bytes = 100; q_inflight = 4 } in
@@ -498,6 +528,9 @@ let () =
           Alcotest.test_case "runtime cap = admission reservation" `Quick
             test_runtime_quota_trip;
         ] );
+      ( "trace",
+        [ Alcotest.test_case "job lifecycle per tenant" `Quick test_tenant_trace_lifecycle ]
+      );
       ( "isolation",
         [
           Alcotest.test_case "co-tenant load leaves runs bit-exact" `Quick
