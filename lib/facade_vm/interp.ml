@@ -1127,45 +1127,33 @@ let run_facade ?heap ?(max_steps = default_max_steps) ?page_bytes ?workers ?pool
   (* A caller-provided [?pool] selects the parallel path on a shared,
      long-lived domain pool (the service daemon's): the run borrows it —
      external waiters park without helping, so concurrent runs coexist —
-     and never shuts it down. Without it, [?workers] keeps the historical
-     behavior of a private pool owned (and torn down) by this run. *)
-  let owned_pool, par =
-    let shared p =
-      Some
-        {
-          pool = p;
-          pools_mu = Mutex.create ();
-          mon_mu = Mutex.create ();
-          heap_mu = Mutex.create ();
-        }
+     and never shuts it down. Without it, [?workers] borrows the warm idle
+     pool of {!Parallel.Pool.with_pool} for the length of this run. *)
+  let run pool =
+    let par =
+      Option.map
+        (fun pool ->
+          { pool; pools_mu = Mutex.create (); mon_mu = Mutex.create (); heap_mu = Mutex.create () })
+        pool
     in
-    match (pool, workers) with
-    | Some p, _ -> (None, shared p)
-    | None, Some w ->
-        let p = Parallel.Pool.create ~workers:(max 1 w) in
-        (Some p, shared p)
-    | None, None -> (None, None)
-  in
-  let st = make_st ?par ~io_scale rp (Facade_mode rt) heap max_steps thread in
-  (* Tier-2 facade code is store-independent (every page access resolves
-     the pool through [st]), so a pre-built warm tier from {!make_tier}
-     is as sound here as in object mode. *)
-  (match tier with
-  | Some t -> st.tier <- Some t
-  | None -> setup_tier st ~tier2 ~tier2_hot ~tier2_feedback ~osr);
-  (* The facade pools themselves are heap objects — the paper's O(t·n). *)
-  (match heap with
-  | Some h ->
-      for _ = 1 to FP.total_facades (Hashtbl.find pools 0) do
-        Heap.alloc h ~lifetime:Heap.Permanent ~bytes:32
-      done
-  | None -> ());
-  (* Setup is still sequential (ctx unset), so these charges sync exactly
-     as in a sequential run. *)
-  pre_intern_strings st rt;
-  match par with
-  | None -> run_entry st ~entry_args
-  | Some _ ->
+    let st = make_st ?par ~io_scale rp (Facade_mode rt) heap max_steps thread in
+    (* Tier-2 facade code is store-independent (every page access resolves
+       the pool through [st]), so a pre-built warm tier from {!make_tier}
+       is as sound here as in object mode. *)
+    (match tier with
+    | Some t -> st.tier <- Some t
+    | None -> setup_tier st ~tier2 ~tier2_hot ~tier2_feedback ~osr);
+    (* The facade pools themselves are heap objects — the paper's O(t·n). *)
+    (match heap with
+    | Some h ->
+        for _ = 1 to FP.total_facades (Hashtbl.find pools 0) do
+          Heap.alloc h ~lifetime:Heap.Permanent ~bytes:32
+        done
+    | None -> ());
+    (* Setup is still sequential (ctx unset), so these charges sync exactly
+       as in a sequential run. *)
+    pre_intern_strings st rt;
+    if Option.is_some par then
       st.ctx <-
         Some
           {
@@ -1175,9 +1163,6 @@ let run_facade ?heap ?(max_steps = default_max_steps) ?page_bytes ?workers ?pool
             dc_strings = Hashtbl.create 16;
             dc_intern = Hashtbl.create 16;
           };
-      (match owned_pool with
-      | Some p ->
-          Fun.protect
-            ~finally:(fun () -> Parallel.Pool.shutdown p)
-            (fun () -> run_entry st ~entry_args)
-      | None -> run_entry st ~entry_args)
+    run_entry st ~entry_args
+  in
+  match pool with Some _ -> run pool | None -> Parallel.Pool.with_pool_opt workers run

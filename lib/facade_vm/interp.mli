@@ -147,12 +147,14 @@ val run_facade :
     GC pause {e counts} remain approximate under parallelism. Omitting
     [?workers] leaves the engine byte-for-byte on the sequential path.
 
+    Without [?pool], [?workers:n] borrows the warm idle pool of
+    {!Parallel.Pool.with_pool}, so back-to-back runs reuse their domains.
     [?pool] selects the parallel path on a caller-owned, long-lived
-    domain pool instead of spawning a private one: the run borrows the
-    pool (several concurrent runs may share it — external waiters park
-    without helping) and never shuts it down, which is how the service
-    daemon amortizes [Domain.spawn] to zero across submissions. When
-    both [?pool] and [?workers] are given, the shared pool wins.
+    domain pool instead: the run borrows the pool (several concurrent
+    runs may share it — external waiters park without helping) and never
+    shuts it down, which is how the service daemon amortizes
+    [Domain.spawn] to zero across submissions. When both [?pool] and
+    [?workers] are given, the shared pool wins.
 
     [?page_quota] (max live pages) and [?heap_budget] (max native page
     bytes) install {!Pagestore.Store.set_limits} caps on this run's

@@ -3,9 +3,14 @@ type result = {
   assignments : int array;
 }
 
+(* A plain loop: no closure and no boxed float per term, in the same
+   summation order, so centroids stay bit-identical. *)
 let distance2 a b =
   let acc = ref 0.0 in
-  Array.iteri (fun i x -> acc := !acc +. ((x -. b.(i)) *. (x -. b.(i)))) a;
+  for i = 0 to Array.length a - 1 do
+    let d = a.(i) -. b.(i) in
+    acc := !acc +. (d *. d)
+  done;
   !acc
 
 let run ?(supersteps = 10) ~k config (points : Workloads.Points_gen.t) =
@@ -37,14 +42,15 @@ let run ?(supersteps = 10) ~k config (points : Workloads.Points_gen.t) =
         let sums = Array.init k (fun _ -> Array.make dims 0.0) in
         let counts = Array.make k 0 in
         for p = 0 to n - 1 do
-          let a = assignments.(p) in
+          let a = assignments.(p) and pt = pts.(p) in
           counts.(a) <- counts.(a) + 1;
-          Array.iteri (fun d x -> sums.(a).(d) <- sums.(a).(d) +. x) pts.(p)
+          let s = sums.(a) in
+          for d = 0 to dims - 1 do s.(d) <- s.(d) +. pt.(d) done
         done;
         for ci = 0 to k - 1 do
           if counts.(ci) > 0 then
-            centroids.(ci) <-
-              Array.map (fun s -> s /. float_of_int counts.(ci)) sums.(ci)
+            let cen = centroids.(ci) and cnt = float_of_int counts.(ci) in
+            for d = 0 to dims - 1 do cen.(d) <- sums.(ci).(d) /. cnt done
         done;
         Pregel.superstep c ~msgs:(n + (k * dims))
       done;

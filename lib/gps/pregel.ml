@@ -54,8 +54,7 @@ type ctx = {
   heap_ : Heap.t;
   clock_ : Clock.t;
   store_ : Store.t option;
-  pool_ : Parallel.Pool.t option;
-  nw_ : int;  (* pool size; 0 on the analytic path *)
+  mutable pool_ : Parallel.Pool.t option;  (* set for the borrowed pool's lifetime *)
   mutable data_objects : int;
   mutable page_records : int;
   mutable steps : int;
@@ -119,7 +118,7 @@ let load_graph c ~vertices ~edges =
    buffer is a page array on that worker's own store thread. *)
 let superstep_parallel c pool ~msgs =
   let cost = c.config.cost in
-  let nw = c.nw_ in
+  let nw = Parallel.Pool.size pool in
   let shard t = ((msgs * (t + 1)) / nw) - ((msgs * t) / nw) in
   let per_msg_sim =
     match c.config.mode with
@@ -226,15 +225,13 @@ let with_run config body =
         done;
         Some s
   in
-  let pool_ = if nw_ > 0 then Some (Parallel.Pool.create ~workers:nw_) else None in
   let c =
     {
       config;
       heap_;
       clock_;
       store_;
-      pool_;
-      nw_;
+      pool_ = None;
       data_objects = 0;
       page_records = 0;
       steps = 0;
@@ -245,12 +242,13 @@ let with_run config body =
   in
   Heap.alloc_many heap_ ~lifetime:Heap.Permanent ~bytes_each:512 ~count:512;
   let output, completed, oom_at =
-    Fun.protect
-      ~finally:(fun () -> Option.iter Parallel.Pool.shutdown pool_)
-      (fun () ->
-        match body c with
-        | v -> (Some v, true, 0.0)
-        | exception Heap.Out_of_memory { at_seconds; _ } -> (None, false, at_seconds))
+    match
+      Parallel.Pool.with_pool_opt config.workers (fun p ->
+          c.pool_ <- p;
+          body c)
+    with
+    | v -> (Some v, true, 0.0)
+    | exception Heap.Out_of_memory { at_seconds; _ } -> (None, false, at_seconds)
   in
   sync_native c;
   let hs = Heap.stats heap_ in

@@ -102,7 +102,6 @@ let run cfg (csr : Sharder.csr) (prog : Vertex_program.t) =
   let sub_iterations = ref 0 in
   let edges_processed = ref 0 in
   let nw = match cfg.workers with Some w -> max 1 w | None -> 0 in
-  let pool = if nw > 0 then Some (Parallel.Pool.create ~workers:nw) else None in
   let wall = ref 0.0 in
   let nthreads = max cfg.threads nw in
   let fs =
@@ -125,7 +124,7 @@ let run cfg (csr : Sharder.csr) (prog : Vertex_program.t) =
   (* Iterations are double-buffered (Jacobi) so results are independent of
      interval boundaries — and therefore identical in both modes. *)
   let next_values = Array.copy values in
-  let run_body () =
+  let run_body pool =
     (* Engine-permanent control structures: the vertex-value file buffer,
        the degree file, and shard indices — present in both P and P'. *)
     Heap.alloc heap ~lifetime:Heap.Permanent ~bytes:(n * 8);
@@ -375,12 +374,9 @@ let run cfg (csr : Sharder.csr) (prog : Vertex_program.t) =
     done
   in
   let completed, oom_at =
-    Fun.protect
-      ~finally:(fun () -> Option.iter Parallel.Pool.shutdown pool)
-      (fun () ->
-        match run_body () with
-        | () -> (true, 0.0)
-        | exception Heap.Out_of_memory { at_seconds; _ } -> (false, at_seconds))
+    match Parallel.Pool.with_pool_opt cfg.workers run_body with
+    | () -> (true, 0.0)
+    | exception Heap.Out_of_memory { at_seconds; _ } -> (false, at_seconds)
   in
   let hs = Heap.stats heap in
   let store_stats = Option.map (fun fs -> Store.stats fs.store) fs in

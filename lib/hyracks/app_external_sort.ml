@@ -73,7 +73,19 @@ let run config (corpus : Workloads.Text_gen.t) =
           String.init len (fun j ->
               Char.chr (Store.get_i8 store addr ~offset:(len_off + 4 + j)))
         in
-        let cmp a b = String.compare (read a) (read b) in
+        (* [String.compare]'s order, read in place: unsigned bytes, and on a
+           common prefix the shorter token first. *)
+        let cmp a b =
+          let la = Store.get_i32 store a ~offset:len_off
+          and lb = Store.get_i32 store b ~offset:len_off in
+          let stop = len_off + 4 + min la lb in
+          let off = ref (len_off + 4) and d = ref 0 in
+          while !d = 0 && !off < stop do
+            d := Store.get_i8 store a ~offset:!off - Store.get_i8 store b ~offset:!off;
+            incr off
+          done;
+          if !d <> 0 then !d else Int.compare la lb
+        in
         Array.sort cmp addrs;
         let spilled = Array.to_list (Array.map read addrs) in
         Store.iteration_end store ~thread:0;

@@ -54,7 +54,7 @@ type ctx = {
   heap_ : Heap.t;
   clock_ : Clock.t;
   store_ : Store.t option;
-  pool_ : Parallel.Pool.t option;
+  mutable pool_ : Parallel.Pool.t option;  (* set for the borrowed pool's lifetime *)
   mutable data_objects : int;
   mutable page_records : int;
   mutable distinct : int;
@@ -138,16 +138,13 @@ let with_run config body =
         Store.register_thread s 0;
         Some s
   in
-  let pool_ =
-    Option.map (fun w -> Parallel.Pool.create ~workers:(max 1 w)) config.workers
-  in
   let c =
     {
       config;
       heap_;
       clock_;
       store_;
-      pool_;
+      pool_ = None;
       data_objects = 0;
       page_records = 0;
       distinct = 0;
@@ -160,12 +157,13 @@ let with_run config body =
   (* Framework-permanent state: frame pools, job metadata, thread pools. *)
   Heap.alloc_many heap_ ~lifetime:Heap.Permanent ~bytes_each:1024 ~count:256;
   let output, completed, oom_at =
-    Fun.protect
-      ~finally:(fun () -> Option.iter Parallel.Pool.shutdown pool_)
-      (fun () ->
-        match body c with
-        | v -> (Some v, true, 0.0)
-        | exception Heap.Out_of_memory { at_seconds; _ } -> (None, false, at_seconds))
+    match
+      Parallel.Pool.with_pool_opt config.workers (fun p ->
+          c.pool_ <- p;
+          body c)
+    with
+    | v -> (Some v, true, 0.0)
+    | exception Heap.Out_of_memory { at_seconds; _ } -> (None, false, at_seconds)
   in
   sync_native c;
   let peak = Heap.peak_memory_bytes heap_ in

@@ -152,3 +152,34 @@ let shutdown t =
   Mutex.unlock t.mu;
   List.iter Domain.join t.domains;
   t.domains <- []
+
+(* The single idle pool. A borrower empties the slot, so concurrent
+   borrowers never share a pool: the second one creates its own. *)
+let idle : t option Atomic.t = Atomic.make None
+
+let () = at_exit (fun () -> Option.iter shutdown (Atomic.exchange idle None))
+
+let with_pool ~workers f =
+  let p =
+    match Atomic.exchange idle None with
+    | Some p when size p = workers -> p
+    | Some p ->
+        shutdown p;
+        create ~workers
+    | None -> create ~workers
+  in
+  match f p with
+  | v ->
+      Option.iter shutdown (Atomic.exchange idle (Some p));
+      v
+  | exception e ->
+      (* A run that died between spawn and join may still have tasks
+         queued: never lend this pool again. *)
+      let bt = Printexc.get_raw_backtrace () in
+      shutdown p;
+      Printexc.raise_with_backtrace e bt
+
+let with_pool_opt workers f =
+  match workers with
+  | None -> f None
+  | Some w -> with_pool ~workers:(max 1 w) (fun p -> f (Some p))

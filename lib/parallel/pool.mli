@@ -28,3 +28,16 @@ val on_worker : t -> bool
 val shutdown : t -> unit
 (** Stop and join all workers. Pending queued tasks may be dropped; only
     call once every join has completed. *)
+
+val with_pool : workers:int -> (t -> 'a) -> 'a
+(** [with_pool ~workers f] lends [f] a pool of exactly [workers] domains
+    from a single process-wide idle slot, creating one if the slot is
+    empty and replacing a cached pool of another size. When [f] returns,
+    the pool goes back to the slot (shutting down any pool it displaces);
+    when [f] raises, the pool is shut down and not cached. Concurrent and
+    nested borrowers get distinct pools. The idle pool is shut down at
+    exit. [f] must join every task it submits before returning. *)
+
+val with_pool_opt : int option -> (t option -> 'a) -> 'a
+(** [with_pool_opt None f] is [f None]; [with_pool_opt (Some w) f] borrows
+    [with_pool ~workers:(max 1 w)]. The engines' [?workers] convention. *)

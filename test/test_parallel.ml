@@ -47,6 +47,200 @@ let test_sched_exception () =
       Alcotest.check_raises "first task exception re-raised at join"
         (Failure "boom") (fun () -> Sched.wait g))
 
+(* ---------- borrowed pools (Pool.with_pool) ---------- *)
+
+let ran_tasks pool =
+  let hits = Atomic.make 0 in
+  Sched.run_list pool (List.init 8 (fun _ () -> Atomic.incr hits));
+  Atomic.get hits = 8
+
+let test_with_pool_reuses () =
+  let a = Pool.with_pool ~workers:2 (fun p -> assert (ran_tasks p); p) in
+  let b = Pool.with_pool ~workers:2 (fun p -> assert (ran_tasks p); p) in
+  Alcotest.(check bool) "same size: the cached pool is lent again" true (a == b);
+  let c = Pool.with_pool ~workers:1 (fun p -> assert (ran_tasks p); p) in
+  Alcotest.(check bool) "size change replaces the pool" false (c == a);
+  Alcotest.(check int) "replacement has the asked size" 1 (Pool.size c)
+
+let test_with_pool_concurrent () =
+  (* Both borrowers hold their pool at the same time before either
+     returns, so the second cannot have found the first in the slot. *)
+  let inside = Atomic.make 0 in
+  let borrow () =
+    Pool.with_pool ~workers:2 (fun p ->
+        Atomic.incr inside;
+        let deadline = Unix.gettimeofday () +. 10. in
+        while Atomic.get inside < 2 && Unix.gettimeofday () < deadline do
+          Thread.yield ()
+        done;
+        (p, ran_tasks p))
+  in
+  let other = ref None in
+  let th = Thread.create (fun () -> other := Some (borrow ())) () in
+  let p1, ok1 = borrow () in
+  Thread.join th;
+  let p2, ok2 = Option.get !other in
+  Alcotest.(check int) "both were inside at once" 2 (Atomic.get inside);
+  Alcotest.(check bool) "concurrent borrowers get distinct pools" false (p1 == p2);
+  Alcotest.(check bool) "both finished their tasks" true (ok1 && ok2)
+
+let test_with_pool_exception () =
+  let cached = Pool.with_pool ~workers:2 Fun.id in
+  let failed = ref None in
+  (try
+     Pool.with_pool ~workers:2 (fun p ->
+         failed := Some p;
+         failwith "run died")
+   with Failure _ -> ());
+  let failed = Option.get !failed in
+  Alcotest.(check bool) "the failing run borrowed the cached pool" true (failed == cached);
+  let next = Pool.with_pool ~workers:2 (fun p -> assert (ran_tasks p); p) in
+  Alcotest.(check bool) "the slot was left empty: a fresh pool" false (next == failed)
+
+let test_with_pool_nested () =
+  let outer, inner =
+    Pool.with_pool ~workers:1 (fun outer ->
+        let inner =
+          Pool.with_pool ~workers:1 (fun inner ->
+              assert (ran_tasks inner);
+              inner)
+        in
+        assert (ran_tasks outer);
+        (outer, inner))
+  in
+  Alcotest.(check bool) "a nested borrow gets a fresh pool" false (outer == inner);
+  let again = Pool.with_pool ~workers:1 Fun.id in
+  Alcotest.(check bool) "the outer pool displaced the inner one" true (again == outer)
+
+(* ---------- engines reuse one borrowed pool ---------- *)
+
+module PSW = Graphchi.Psw_engine
+module Hyr = Hyracks.Engine
+module Pregel = Gps.Pregel
+module WC = Hyracks.App_word_count
+module ES = Hyracks.App_external_sort
+module KM = Gps.App_kmeans
+
+let csr =
+  lazy
+    (Graphchi.Sharder.build
+       (Workloads.Graph_gen.generate ~seed:7 ~vertices:400 ~edges:2_000))
+
+let corpus = lazy (Workloads.Text_gen.generate ~seed:8 ~bytes_target:15_000 ())
+let points = lazy (Workloads.Points_gen.generate ~seed:9 ~n:300 ~dims:4 ~clusters:6)
+
+let psw_cfg mode workers =
+  let c = { (PSW.default_config mode) with PSW.iterations = 2 } in
+  if workers = None then c else { c with PSW.workers; io_scale = 0. }
+
+let hyr_cfg mode workers =
+  let c = Hyr.default_config mode in
+  if workers = None then c else { c with Hyr.workers; io_scale = 0. }
+
+let gps_cfg mode workers =
+  let c = Pregel.default_config mode in
+  if workers = None then c else { c with Pregel.workers; io_scale = 0. }
+
+(* Answers, then the counts that must repeat for a given worker count. *)
+let engines_round ~facade workers =
+  let psw_mode, hyr_mode, gps_mode =
+    if facade then (PSW.Facade_mode, Hyr.Facade_mode, Pregel.Facade_mode)
+    else (PSW.Object_mode, Hyr.Object_mode, Pregel.Object_mode)
+  in
+  let psw =
+    PSW.run (psw_cfg psw_mode workers) (Lazy.force csr) Graphchi.Vertex_program.pagerank
+  in
+  let wc = WC.run (hyr_cfg hyr_mode workers) (Lazy.force corpus) in
+  let sort = ES.run (hyr_cfg hyr_mode workers) (Lazy.force corpus) in
+  let km = KM.run ~k:6 (gps_cfg gps_mode workers) (Lazy.force points) in
+  let answers =
+    ( Option.map Array.to_list psw.PSW.values,
+      Option.map (fun (o : WC.result) -> o.WC.top) wc.Hyr.output,
+      Option.map (fun (o : ES.result) -> o.ES.first) sort.Hyr.output,
+      Option.map
+        (fun (o : KM.result) -> Array.to_list (Array.map Array.to_list o.KM.centroids))
+        km.Pregel.output )
+  in
+  let pm = psw.PSW.metrics and wm = wc.Hyr.metrics and sm = sort.Hyr.metrics in
+  let km = km.Pregel.metrics in
+  let i = Int64.of_int and bits = Int64.bits_of_float in
+  let counts =
+    [
+      i pm.PSW.page_records; i pm.PSW.pages_created; i pm.PSW.minor_gcs; bits pm.PSW.gt;
+      i wm.Hyr.page_records; i wm.Hyr.pages_created; i wm.Hyr.minor_gcs; bits wm.Hyr.gt;
+      i sm.Hyr.page_records; i sm.Hyr.pages_created; i sm.Hyr.minor_gcs; bits sm.Hyr.gt;
+      i km.Pregel.page_records; i km.Pregel.minor_gcs; bits km.Pregel.gt;
+    ]
+  in
+  (answers, counts)
+
+let test_engines_back_to_back () =
+  let reference, _ = engines_round ~facade:false None in
+  let runs = List.map (fun w -> (w, engines_round ~facade:true (Some w))) [ 2; 1; 2; 1 ] in
+  List.iter
+    (fun (w, (answers, _)) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "workers=%d: facade answers equal object mode" w)
+        true (answers = reference))
+    runs;
+  List.iter
+    (fun w ->
+      match List.filter (fun (w', _) -> w' = w) runs with
+      | (_, (_, first)) :: rest ->
+          List.iter
+            (fun (_, (_, counts)) ->
+              Alcotest.(check (list int64))
+                (Printf.sprintf "workers=%d: counts repeat on a reused pool" w)
+                first counts)
+            rest
+      | [] -> ())
+    [ 1; 2 ]
+
+(* Tokens that share prefixes, differ only in length, and carry bytes
+   >= 0x80: the in-page comparison must order them as [String.compare].
+   A run reports only its first 20 tokens, so the check slides a window
+   over the sorted order: each corpus holds the tokens from some pivot
+   up, twice, padded with a token that sorts last to force several
+   spilled runs. *)
+let test_sort_in_page_order () =
+  let stems = [ ""; "a"; "ab"; "abc"; "a\x80"; "a\xff"; "\x7f"; "\x80"; "\xff\xff"; "b" ] in
+  let tokens =
+    List.concat_map
+      (fun s -> [ s; s ^ "a"; s ^ "\x00"; s ^ "\xc3\xa9"; s ^ "\xff"; s ^ "z" ])
+      stems
+    |> List.sort_uniq String.compare
+  in
+  let last = String.make 4 '\xff' in
+  let take n l = List.filteri (fun i _ -> i < n) l in
+  List.iteri
+    (fun i pivot ->
+      if i mod 8 = 0 then begin
+        let mine = List.filter (fun t -> String.compare t pivot >= 0) tokens in
+        let words = Array.of_list (List.rev mine @ List.init 70 (fun _ -> last) @ mine) in
+        let corpus =
+          {
+            Workloads.Text_gen.words;
+            total_bytes = Array.fold_left (fun n w -> n + String.length w + 1) 0 words;
+          }
+        in
+        let expected = take 20 (List.sort String.compare (Array.to_list words)) in
+        List.iter
+          (fun (mode, workers) ->
+            let cfg = { (hyr_cfg mode workers) with Hyr.machines = 1 } in
+            (* The smallest sort buffer: a run holds 64 tokens. *)
+            let cost = { cfg.Hyr.cost with Hyracks.Hcost.sort_buffer_bytes = 64 } in
+            let o = ES.run { cfg with Hyr.cost } corpus in
+            match o.Hyr.output with
+            | None -> Alcotest.fail "sort did not complete"
+            | Some r ->
+                Alcotest.(check bool) "several spilled runs" true (r.ES.runs > 1);
+                Alcotest.(check (list string))
+                  (Printf.sprintf "tokens from %S: String.compare order" pivot)
+                  expected r.ES.first)
+          [ (Hyr.Facade_mode, None); (Hyr.Facade_mode, Some 2); (Hyr.Object_mode, None) ]
+      end)
+    tokens
+
 (* ---------- satellite: constant-time lowest_clear vs the scan ---------- *)
 
 let test_lowest_clear_pinned () =
@@ -394,6 +588,19 @@ let () =
           Alcotest.test_case "tasks all run" `Quick test_pool_runs_tasks;
           Alcotest.test_case "nested spawn on 1 worker" `Quick test_sched_nested_spawn;
           Alcotest.test_case "exception re-raised at join" `Quick test_sched_exception;
+          Alcotest.test_case "with_pool reuses the idle pool" `Quick test_with_pool_reuses;
+          Alcotest.test_case "with_pool concurrent borrowers" `Quick
+            test_with_pool_concurrent;
+          Alcotest.test_case "with_pool drops a pool on exception" `Quick
+            test_with_pool_exception;
+          Alcotest.test_case "with_pool nested borrow" `Quick test_with_pool_nested;
+        ] );
+      ( "engine-reuse",
+        [
+          Alcotest.test_case "back-to-back engine runs at 2, 1, 2, 1 workers" `Quick
+            test_engines_back_to_back;
+          Alcotest.test_case "external sort compares in the pages" `Quick
+            test_sort_in_page_order;
         ] );
       ( "bitvec",
         [
