@@ -159,10 +159,8 @@ let int_op : Ir.binop -> (int -> int -> int) option = function
 (* ---------- compiled-code runner ---------- *)
 
 (* Block closures return the next block index, [-1] for a void return,
-   [-2] for a value return (parked in the per-thread [st.tret] cell).
-   [bi0] is the entry block: 0 for a normal call, a loop header for an
-   on-stack replacement. *)
-let run_blocks_from st (blocks : (st -> Value.t array -> int) array) frame bi0 =
+   [-2] for a value return (parked in the per-thread [st.tret] cell). *)
+let run_blocks st (blocks : (st -> Value.t array -> int) array) frame =
   let rec go bi =
     let next = blocks.(bi) st frame in
     if next >= 0 then go next
@@ -173,9 +171,7 @@ let run_blocks_from st (blocks : (st -> Value.t array -> int) array) frame bi0 =
       Some v
     end
   in
-  go bi0
-
-let run_blocks st blocks frame = run_blocks_from st blocks frame 0
+  go 0
 
 let note_deopt reason =
   if Obs.Trace.on () then
@@ -183,21 +179,15 @@ let note_deopt reason =
       ~args:[ ("reason", Obs.Tracer.Astr reason) ]
       "tier_deopt"
 
-(* Entry wrapper shared by normal compilation, OSR variants, and IC-drift
-   recompiles: run the composed blocks from [bi0] and, on a guard
-   failure, count the deopt, retire the method's compiled code — entry
-   *and* every OSR variant — at the limit, and resume tier-1 at the
-   failed pc on the same frame. *)
-let wrap_blocks (t : tier) mx blocks bi0 st frame =
-  try run_blocks_from st blocks frame bi0
+(* Entry wrapper of a compiled method: run the composed blocks and, on a
+   guard failure, count the deopt, retire the method's compiled code at
+   the limit, and resume tier-1 at the failed pc on the same frame. *)
+let wrap_blocks (t : tier) mx blocks st frame =
+  try run_blocks st blocks frame
   with Tier_deopt (dbi, dpc, reason) ->
     st.stats.Exec_stats.tier2_deopts <- st.stats.Exec_stats.tier2_deopts + 1;
     t.t_fail.(mx) <- t.t_fail.(mx) + 1;
-    if t.t_fail.(mx) >= deopt_limit then begin
-      t.t_code.(mx) <- T_dead;
-      let osr = t.t_osr_code.(mx) in
-      Array.iteri (fun i _ -> osr.(i) <- T_dead) osr
-    end;
+    if t.t_fail.(mx) >= deopt_limit then t.t_code.(mx) <- T_dead;
     note_deopt reason;
     t.t_hooks.h_resume st mx frame dbi dpc
 
@@ -704,11 +694,8 @@ and mk_call t (cst : st) ~depth bi pc cat ret midx recv args =
 (* Devirtualized call through a warm IC snapshot: the guard re-derives
    the receiver's class and compares it to the cached one. On a miss,
    CHA-monomorphic names delegate the single dispatch to the interpreter
-   (the target cannot differ); polymorphic receivers deoptimize. Either
-   way, a *drifted* live cache word — the interpreter re-warmed the site
-   on a different receiver since this snapshot was taken — triggers one
-   bounded re-snapshot recompile, so a method whose sites merely warmed
-   up late is not stuck delegating (or deopting) forever. *)
+   (the target cannot differ); polymorphic receivers deoptimize, and
+   [deopt_limit] strikes retire the method. *)
 and mk_virtual_ic t (cst : st) mx ~depth bi pc ret mid r args (ic : R.ic) ins =
   let key = ic.R.ic_key in
   let cid0 = key lsr 20 in
@@ -740,12 +727,8 @@ and mk_virtual_ic t (cst : st) mx ~depth bi pc ret mid r args (ic : R.ic) ins =
       Array.iteri (fun i s -> f.(i + 1) <- frame.(s)) args;
       store_ret frame ret (target st f)
     end
-    else begin
-      if (not t.t_recompiled.(mx)) && ic.R.ic_key >= 0 && ic.R.ic_key <> key
-      then recompile t st mx;
-      if mono then t.t_hooks.h_exec st mx frame ins
-      else raise (Tier_deopt (bi, pc, "polymorphic"))
-    end
+    else if mono then t.t_hooks.h_exec st mx frame ins
+    else raise (Tier_deopt (bi, pc, "polymorphic"))
 
 (* Virtual call whose cache was cold at compile time: guard against the
    live IC word each execution. The first execution delegates (the
@@ -921,32 +904,6 @@ and compile_block t (cst : st) mx ~depth bi (b : R.block) : st -> Value.t array 
         done;
         term st frame
 
-(* IC drift: a live cache word at a compiled monomorphic site no longer
-   matches the snapshot its guard was specialized against. Re-read every
-   live IC word and compile once more — bounded by [t_recompiled], so a
-   site that keeps flapping settles into the delegate/deopt policy
-   instead of recompiling forever. OSR variants are left stale on
-   purpose: their drifted sites keep delegating the single dispatch,
-   which stays correct, and the entry code (which dominates steady
-   state) is what the fresh snapshot speeds up. *)
-and recompile t (cst : st) mx =
-  t.t_recompiled.(mx) <- true;
-  let m = cst.rp.R.methods.(mx) in
-  let trace = Obs.Trace.on () in
-  if trace then Obs.Trace.span_begin ~cat:"vm" "tier2_compile";
-  let blocks = compile_meth t cst mx m ~depth:0 in
-  cst.stats.Exec_stats.tier2_recompiles <-
-    cst.stats.Exec_stats.tier2_recompiles + 1;
-  if trace then
-    Obs.Trace.span_end
-      ~args:
-        [
-          ("method", Obs.Tracer.Astr (m.R.m_cls ^ "." ^ m.R.m_name));
-          ("recompile", Obs.Tracer.Aint 1);
-        ]
-      ();
-  t.t_code.(mx) <- T_fn (wrap_blocks t mx blocks 0)
-
 (* ---------- installation ---------- *)
 
 (* Compile method [mx] and install it as [T_fn]; oversized or abstract
@@ -971,44 +928,7 @@ let compile_into (t : tier) (cst : st) mx =
           Obs.Trace.span_end
             ~args:[ ("method", Obs.Tracer.Astr (m.R.m_cls ^ "." ^ m.R.m_name)) ]
             ();
-        t.t_code.(mx) <- T_fn (wrap_blocks t mx blocks 0)
-      end
-
-(* On-stack replacement: compile a loop-entry variant keyed on back-edge
-   target [hdr] — the interpreter transfers its live frame to it at the
-   loop header, mid-call. One [compile_meth] serves both entries: the
-   same composed blocks run from block [hdr] for the OSR transfer and
-   from block 0 for subsequent calls, so the method that tiered up
-   mid-call is also warm for its next invocation (and the two share
-   [t_fail] and the deopt round-trip). Racing domains are benign for the
-   same reason as [compile_into]. *)
-let compile_osr (t : tier) (cst : st) mx hdr =
-  match t.t_osr_code.(mx).(hdr) with
-  | T_fn _ | T_dead -> ()
-  | T_cold ->
-      let m = cst.rp.R.methods.(mx) in
-      if Array.length m.R.m_body = 0 || R.instr_count m > compile_limit then begin
-        t.t_osr_code.(mx).(hdr) <- T_dead;
-        t.t_code.(mx) <- T_dead
-      end
-      else begin
-        let trace = Obs.Trace.on () in
-        if trace then Obs.Trace.span_begin ~cat:"vm" "tier2_compile";
-        let blocks = compile_meth t cst mx m ~depth:0 in
-        cst.stats.Exec_stats.tier2_compiles <-
-          cst.stats.Exec_stats.tier2_compiles + 1;
-        if trace then
-          Obs.Trace.span_end
-            ~args:
-              [
-                ("method", Obs.Tracer.Astr (m.R.m_cls ^ "." ^ m.R.m_name));
-                ("osr_block", Obs.Tracer.Aint hdr);
-              ]
-            ();
-        t.t_osr_code.(mx).(hdr) <- T_fn (wrap_blocks t mx blocks hdr);
-        match t.t_code.(mx) with
-        | T_cold -> t.t_code.(mx) <- T_fn (wrap_blocks t mx blocks 0)
-        | T_fn _ | T_dead -> ()
+        t.t_code.(mx) <- T_fn (wrap_blocks t mx blocks)
       end
 
 (* ---------- tier construction ---------- *)
@@ -1025,7 +945,7 @@ let is_leaf (m : R.meth) ~budget =
   && R.instr_count m <= budget
   && Array.for_all leaf_safe_instr m.R.m_body.(0).R.code
 
-let make ?(hot = 8) ?(feedback = no_feedback) ?(osr = true) ~hooks
+let make ?(hot = 8) ?(feedback = no_feedback) ~hooks
     (rp : R.program) : tier =
   let nm = Array.length rp.R.methods in
   let nn = Array.length rp.R.method_names in
@@ -1071,26 +991,6 @@ let make ?(hot = 8) ?(feedback = no_feedback) ?(osr = true) ~hooks
         is_leaf m ~budget)
       rp.R.methods
   in
-  (* OSR slots: a counter and a code cell per loop header (back-edge
-     target), only for methods that could compile at all. Methods with
-     no slots — and every method when OSR is off — keep the zero-length
-     arrays, which the interpreter's back-edge probe rejects with a
-     single length check. *)
-  let t_osr_code = Array.make nm [||] in
-  let t_osr_calls = Array.make nm [||] in
-  if osr then
-    Array.iteri
-      (fun mx (m : R.meth) ->
-        let nb = Array.length m.R.m_body in
-        if nb > 0 && R.instr_count m <= compile_limit then begin
-          let hdrs = Quicken.loop_headers m in
-          if Array.exists Fun.id hdrs then begin
-            t_osr_code.(mx) <-
-              Array.init nb (fun bi -> if hdrs.(bi) then T_cold else T_dead);
-            t_osr_calls.(mx) <- Array.make nb 0
-          end
-        end)
-      rp.R.methods;
   {
     t_code = Array.make nm T_cold;
     t_calls = Array.make nm 0;
@@ -1099,8 +999,4 @@ let make ?(hot = 8) ?(feedback = no_feedback) ?(osr = true) ~hooks
     t_hooks = hooks;
     t_leaves;
     t_mono;
-    t_osr_code;
-    t_osr_calls;
-    t_osr_threshold = max 1 (hot * 16);
-    t_recompiled = Array.make nm false;
   }

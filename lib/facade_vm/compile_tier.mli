@@ -1,8 +1,7 @@
 (** The tier-2 closure compiler: the profile-guided native tier above
     the quickened interpreter.
 
-    Hot resolved methods — selected by the per-method call counters in
-    {!Exec_stats} — are translated into directly-composed OCaml
+    Resolved methods are translated into directly-composed OCaml
     closures: one closure per instruction, pre-composed per basic block,
     with operator/accessor/operand dispatch hoisted to compile time,
     field access monomorphized against warm inline-cache snapshots, and
@@ -11,6 +10,12 @@
     and is semantically identical to tier-1: results, output, step
     counts, instruction mix, heap totals, and pool peaks all match, and
     the differential suite asserts it over every sample.
+
+    Tier-up has one trigger per method. Methods that run once per
+    logical thread — the entry method and every thread's [run()] body —
+    compile when first dispatched; every other method compiles after
+    [hot] calls. A method compiles at most once, into one entry point
+    that runs it from its first block.
 
     When a compiled assumption breaks — polymorphic receiver, monitor
     (lock-contention) region, or the step budget expiring inside
@@ -40,18 +45,13 @@ val deopt_limit : int
 val make :
   ?hot:int ->
   ?feedback:feedback ->
-  ?osr:bool ->
   hooks:Vm_state.hooks ->
   Resolved.program ->
   Vm_state.tier
 (** Build the tier state for a linked program: per-method code slots
-    (all cold), trigger counters, the vtable-scan CHA table, the
-    leaf-inlining candidates, and one OSR counter/code slot per loop
-    header. [hot] (default 8) is the call count at which {!Interp}
-    compiles a method; back edges tier up at [16 * hot] trips. [osr]
-    (default [true]) allocates the back-edge slots; without them the
-    interpreter's back-edge probe is a single length check that always
-    fails, so [--no-osr] runs carry no counting overhead. *)
+    (all cold), trigger counters, the vtable-scan CHA table, and the
+    leaf-inlining candidates. [hot] (default 8) is the call count at
+    which {!Interp} compiles a method that is not once-per-thread. *)
 
 val compile_into : Vm_state.tier -> Vm_state.st -> int -> unit
 (** [compile_into t st mx] compiles method [mx] and installs it as
@@ -60,11 +60,3 @@ val compile_into : Vm_state.tier -> Vm_state.st -> int -> unit
     compiled code is semantically identical to the interpreter, so
     correctness never depends on when — or whether — compilation
     happens. *)
-
-val compile_osr : Vm_state.tier -> Vm_state.st -> int -> int -> unit
-(** [compile_osr t st mx hdr] compiles a loop-entry variant of method
-    [mx] keyed on the back-edge target block [hdr] and installs it in
-    the tier's OSR slot; the normal entry closure is installed as a
-    by-product (one compilation serves both), so a method that tiers up
-    mid-call is also warm for its next invocation. No-op if the slot is
-    already filled or retired. *)

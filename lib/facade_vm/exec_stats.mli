@@ -44,9 +44,13 @@ type t = {
   mutable tier2_entries : int;       (** calls entering tier-2 code *)
   mutable tier2_deopts : int;        (** guard failures falling back to tier-1 *)
   mutable tier2_recompiles : int;
-      (** bounded re-compilations after inline-cache drift *)
+      (** always 0: a tier-2 method compiles at most once. Kept for the
+          benchmark harness and the serve wire format until a
+          benchmark-kind change drops it. *)
   mutable osr_entries : int;
-      (** on-stack replacements: hot loops entered mid-call at a header *)
+      (** always 0: tier 2 no longer has on-stack replacement. Kept for
+          the benchmark harness and the serve wire format until a
+          benchmark-kind change drops it. *)
 }
 
 val create : unit -> t

@@ -210,6 +210,15 @@ and read_slot st rt visited addr ~offset ~jty =
 
 (* ---------- the interpreter loop ---------- *)
 
+(* The tier-up rule for methods that run once per logical thread — the
+   entry method and every thread's [run()] body: no call count would
+   ever reach [hot] for them, so they compile on first dispatch. Every
+   other method compiles after [hot] calls, in [run_method]. *)
+let compile_on_first_dispatch st midx =
+  match st.tier with
+  | Some t -> Compile_tier.compile_into t st midx
+  | None -> ()
+
 (* Entry at an arbitrary (block, pc) is what tier-2 deopt resumes
    through: the compiled code raised {!Vm_state.Tier_deopt} before the
    faulting instruction's accounting, so replaying from exactly there on
@@ -226,64 +235,13 @@ let rec run_body_from st mx (m : R.meth) (frame : Value.t array) bi0 pc0 :
     match b.R.term with
     | R.Rret_void -> None
     | R.Rret s -> Some frame.(s)
-    | R.Rjump t -> branch bi t
-    | R.Rbranch (s, t, e) -> branch bi (if Value.truthy frame.(s) then t else e)
+    | R.Rjump t -> go t 0
+    | R.Rbranch (s, t, e) -> go (if Value.truthy frame.(s) then t else e) 0
     | R.Rcmp_branch (op, x, y, t, e) ->
-        branch bi
-          (if Value.truthy (arith op (operand frame x) (operand frame y)) then t
-           else e)
-  and branch bi t =
-    (* Taken back edges probe for on-stack replacement; the probe either
-       finishes the call in compiled code or declines. Forward edges pay
-       one comparison. *)
-    if t <= bi then
-      match osr_probe st mx frame t with Some r -> r | None -> go t 0
-    else go t 0
+        let taken = Value.truthy (arith op (operand frame x) (operand frame y)) in
+        go (if taken then t else e) 0
   in
   go bi0 pc0
-
-(* The back-edge counter and tier-up point for on-stack replacement: a
-   hot loop in a method that is still cold (not called often enough to
-   compile, or mid-way through its very first call) compiles after
-   [t_osr_threshold] trips and enters the closure at the loop header, on
-   the live tier-1 frame — both tiers run the same slot-indexed frame
-   and block structure, so the transfer state is exactly the deopt state
-   in reverse, and a deopt inside the OSR'd loop resumes tier-1 here bit
-   for bit. Returns [Some result] when the rest of the call ran
-   compiled, [None] to keep interpreting. Methods already compiled (the
-   interpreter is then in a deopt resume — re-entering compiled code
-   could bounce) or retired never probe; with OSR off every method has
-   zero-length counter arrays and the probe is one length check. *)
-and osr_probe st mx (frame : Value.t array) tgt : Value.t option option =
-  match st.tier with
-  | None -> None
-  | Some t ->
-      let counts = t.t_osr_calls.(mx) in
-      if Array.length counts = 0 then None
-      else begin
-        match t.t_code.(mx) with
-        | T_fn _ | T_dead -> None
-        | T_cold ->
-            (* Racy cross-domain increments only delay the trigger. *)
-            let n = counts.(tgt) + 1 in
-            counts.(tgt) <- n;
-            if n < t.t_osr_threshold then None
-            else begin
-              (match t.t_osr_code.(mx).(tgt) with
-              | T_cold -> Compile_tier.compile_osr t st mx tgt
-              | T_fn _ | T_dead -> ());
-              match t.t_osr_code.(mx).(tgt) with
-              | T_fn f ->
-                  st.stats.Exec_stats.osr_entries <-
-                    st.stats.Exec_stats.osr_entries + 1;
-                  if Obs.Trace.on () then
-                    Obs.Trace.instant ~cat:"vm"
-                      ~args:[ ("block", Obs.Tracer.Aint tgt) ]
-                      "osr_enter";
-                  Some (f st frame)
-              | T_cold | T_dead -> None
-            end
-      end
 
 and run_body st mx m frame = run_body_from st mx m frame 0 0
 
@@ -660,6 +618,7 @@ and run_the_run st recv =
   if m.R.m_nparams <> 0 then vm_err "arity mismatch calling %s.run (0 args)" c.R.c_name;
   let f = Array.copy m.R.m_frame in
   f.(0) <- recv;
+  compile_on_first_dispatch st midx;
   ignore (run_method st midx f)
 
 and run_thread st v =
@@ -1001,13 +960,7 @@ let run_entry st ~entry_args =
       (List.length entry_args);
   let f = Array.copy m.R.m_frame in
   List.iteri (fun i a -> f.(i + 1) <- a) entry_args;
-  (* The entry method is called exactly once, so no call-count threshold
-     would ever trip for it; compile it eagerly so main-loop-in-entry
-     workloads run in tier 2 from the first step instead of waiting for
-     the back-edge (OSR) counters to warm up. *)
-  (match st.tier with
-  | Some t -> Compile_tier.compile_into t st st.rp.R.entry
-  | None -> ());
+  compile_on_first_dispatch st st.rp.R.entry;
   let result = run_method st st.rp.R.entry f in
   (* Final barrier: top-level threads spawned outside any iteration. *)
   join_children st;
@@ -1039,12 +992,10 @@ let make_st ?par ?(io_scale = 0.0) rp mode heap max_steps thread =
     tret = Value.Null;
   }
 
-let setup_tier st ~tier2 ~tier2_hot ~tier2_feedback ~osr =
+let setup_tier st ~tier2 ~tier2_hot ~tier2_feedback =
   if tier2 then
     st.tier <-
-      Some
-        (Compile_tier.make ~hot:tier2_hot ?feedback:tier2_feedback ~osr ~hooks
-           st.rp)
+      Some (Compile_tier.make ~hot:tier2_hot ?feedback:tier2_feedback ~hooks st.rp)
 
 (* A tier detached from any run, for reuse across runs of the same linked
    program: compiled closures thread all per-run state through their [st]
@@ -1052,8 +1003,7 @@ let setup_tier st ~tier2 ~tier2_hot ~tier2_feedback ~osr =
    entry instead of capturing a store — so warm code (and call counts)
    carry over exactly like the quickened inline-cache words already do in
    a shared [rp], in facade mode as well as object mode. *)
-let make_tier ?(hot = 8) ?feedback ?(osr = true) rp =
-  Compile_tier.make ~hot ?feedback ~osr ~hooks rp
+let make_tier ?(hot = 8) ?feedback rp = Compile_tier.make ~hot ?feedback ~hooks rp
 
 (* Intern every string constant the linker collected, before execution
    starts: afterwards the frozen tables are read-only, so the hot path
@@ -1079,23 +1029,22 @@ let pre_intern_strings st rt =
           st.rp.R.string_consts
 
 let run_object_linked ?heap ?(max_steps = default_max_steps) ?(entry_args = [])
-    ?(tier2 = false) ?(tier2_hot = 8) ?tier2_feedback ?(osr = true) ?tier rp =
+    ?(tier2 = false) ?(tier2_hot = 8) ?tier2_feedback ?tier rp =
   let st = make_st rp Object_mode heap max_steps 0 in
   (match tier with
   | Some t -> st.tier <- Some t
-  | None -> setup_tier st ~tier2 ~tier2_hot ~tier2_feedback ~osr);
+  | None -> setup_tier st ~tier2 ~tier2_hot ~tier2_feedback);
   run_entry st ~entry_args
 
 let run_object ?heap ?(is_data = fun _ -> false) ?(max_steps = default_max_steps)
     ?(entry_args = []) ?(quicken = false) ?(tier2 = false) ?(tier2_hot = 8) ?tier2_feedback
-    ?(osr = true) p =
+    p =
   run_object_linked ?heap ~max_steps ~entry_args ~tier2 ~tier2_hot ?tier2_feedback
-    ~osr
     (Link.object_program ~is_data ~quicken p)
 
 let run_facade ?heap ?(max_steps = default_max_steps) ?page_bytes ?workers ?pool
     ?page_quota ?heap_budget ?(io_scale = 0.0) ?(entry_args = []) ?(quicken = false)
-    ?(tier2 = false) ?(tier2_hot = 8) ?tier2_feedback ?(osr = true) ?tier
+    ?(tier2 = false) ?(tier2_hot = 8) ?tier2_feedback ?tier
     (pl : Facade_compiler.Pipeline.t) =
   let rp = Link.facade_program ~quicken pl in
   let store = Store.create ?page_bytes () in
@@ -1142,7 +1091,7 @@ let run_facade ?heap ?(max_steps = default_max_steps) ?page_bytes ?workers ?pool
        is as sound here as in object mode. *)
     (match tier with
     | Some t -> st.tier <- Some t
-    | None -> setup_tier st ~tier2 ~tier2_hot ~tier2_feedback ~osr);
+    | None -> setup_tier st ~tier2 ~tier2_hot ~tier2_feedback);
     (* The facade pools themselves are heap objects — the paper's O(t·n). *)
     (match heap with
     | Some h ->

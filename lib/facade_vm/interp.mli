@@ -46,7 +46,6 @@ val run_object :
   ?tier2:bool ->
   ?tier2_hot:int ->
   ?tier2_feedback:Compile_tier.feedback ->
-  ?osr:bool ->
   Jir.Program.t ->
   outcome
 (** Execute a program's entry point in object mode. [max_steps] defaults
@@ -57,19 +56,13 @@ val run_object :
     it off.
 
     [tier2] (default [false]) attaches the {!Compile_tier} closure
-    compiler: methods reaching [tier2_hot] calls (default 8; the entry
-    method compiles eagerly) are translated to composed closures with
-    deoptimization back to the interpreter. Observable behaviour —
-    results, output, step counts, instruction mix, heap totals — is
-    identical to tier 1. [tier2_feedback] forwards the opt pipeline's
-    CHA/inlining facts to widen what compiles.
-
-    [osr] (default [true]) enables on-stack replacement under [tier2]: a
-    loop whose back edge trips [16 * tier2_hot] times inside a method
-    that is still cold compiles a loop-entry variant and the interpreter
-    transfers its live frame to it at the loop header, mid-call.
-    Behaviour is identical either way; [~osr:false] removes even the
-    back-edge counting. *)
+    compiler: the entry method and every thread's [run()] body compile
+    on first dispatch (each runs once per logical thread), other methods
+    on reaching [tier2_hot] calls (default 8). Compiled code
+    deoptimizes back to the interpreter when a guard fails. Observable
+    behaviour — results, output, step counts, instruction mix, heap
+    totals — is identical to tier 1. [tier2_feedback] forwards the opt
+    pipeline's CHA/inlining facts to widen what compiles. *)
 
 val run_object_linked :
   ?heap:Heapsim.Heap.t ->
@@ -78,7 +71,6 @@ val run_object_linked :
   ?tier2:bool ->
   ?tier2_hot:int ->
   ?tier2_feedback:Compile_tier.feedback ->
-  ?osr:bool ->
   ?tier:Vm_state.tier ->
   Resolved.program ->
   outcome
@@ -96,7 +88,6 @@ val run_object_linked :
 val make_tier :
   ?hot:int ->
   ?feedback:Compile_tier.feedback ->
-  ?osr:bool ->
   Resolved.program ->
   Vm_state.tier
 (** A tier-2 state detached from any single run, for
@@ -120,7 +111,6 @@ val run_facade :
   ?tier2:bool ->
   ?tier2_hot:int ->
   ?tier2_feedback:Compile_tier.feedback ->
-  ?osr:bool ->
   ?tier:Vm_state.tier ->
   Facade_compiler.Pipeline.t ->
   outcome
@@ -168,7 +158,7 @@ val run_facade :
     domains — the same mechanism (and typical scale, [5e-3]) the
     graphchi/hyracks/gps engines use for their scalability curves.
 
-    [tier2]/[tier2_hot]/[tier2_feedback]/[osr] are as for {!run_object};
+    [tier2]/[tier2_hot]/[tier2_feedback] are as for {!run_object};
     the tier state is shared across worker domains (racing compilations
     are benign) and each logical thread takes the compiled code when its
     own dispatch reaches it. [?tier] attaches a pre-built tier from

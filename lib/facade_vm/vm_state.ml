@@ -125,15 +125,6 @@ and tier = {
   t_hooks : hooks;
   t_leaves : bool array;    (* method idx: inlinable leaf body *)
   t_mono : bool array;      (* method-name id: single implementation (CHA) *)
-  (* On-stack replacement: per method, a slot per block that is a loop
-     header (back-edge target), or [||] when the method has none — or
-     when OSR is disabled, which makes the interpreter's back-edge probe
-     a single bounds check. Entry closures run the method from the
-     header on the live tier-1 frame and share [tcode]'s protocol. *)
-  t_osr_code : tcode array array;
-  t_osr_calls : int array array;  (* back-edge trips per loop header *)
-  t_osr_threshold : int;          (* trips before compiling a loop entry *)
-  t_recompiled : bool array;      (* method idx: IC-drift recompile spent *)
 }
 
 and tcode =

@@ -54,6 +54,9 @@ type outcome = {
   oc_tier2_compiles : int;
   oc_tier2_recompiles : int;
   oc_osr_entries : int;
+  (* The two fields above always read 0: tier 2 has no recompile and no
+     on-stack replacement. They are kept for the benchmark harness and
+     the serve wire format until a benchmark-kind change drops them. *)
   oc_queued_ns : int;
   oc_run_ns : int;
 }

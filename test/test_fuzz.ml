@@ -144,9 +144,9 @@ let program_of_ops ops =
     B.ret b None;
     B.finish m
   in
-  (* A real loop for the OSR fuzzer: 40 iterations tick past the 32-trip
-     back-edge threshold (hot=2), so a single Spin tiers the loop up
-     mid-call even though the method's call count stays below [hot]. *)
+  (* A real loop: 40 iterations in one call, so a single Spin runs the
+     loop on tier 1 (one call stays below [hot]) and repeated Spins run
+     it compiled. *)
   let spin_helper =
     let m =
       B.create ~static:true "spin"
@@ -347,12 +347,10 @@ let prop_tier_differential =
        QCheck.Gen.(list_size (int_range 0 60) op_gen))
     run_tier_differential
 
-(* The OSR fuzzer: facade mode with on-stack replacement live (Spin ops
-   put a 40-iteration loop in a once-called method, so the back-edge
-   path — compile at the loop header, transfer the live frame, deopt
-   from inside if a monitor follows — is exercised), sequentially and
-   on a 4-domain pool. Every observable must match plain tier 1. *)
-let run_osr_differential ops =
+(* Facade mode with tier 2, sequentially and on a 4-domain pool, so
+   compiled code also runs on worker domains. Every observable must
+   match plain tier 1. *)
+let run_workers_differential ops =
   let program = program_of_ops ops in
   let pl = Facade_compiler.Pipeline.compile ~spec program in
   let key (o : Facade_vm.Interp.outcome) =
@@ -364,21 +362,18 @@ let run_osr_differential ops =
       o.Facade_vm.Interp.stats.Facade_vm.Exec_stats.page_records )
   in
   let fac1 = Facade_vm.Interp.run_facade ~quicken:true pl in
-  let seq =
-    Facade_vm.Interp.run_facade ~quicken:true ~tier2:true ~tier2_hot:2 ~osr:true pl
-  in
+  let seq = Facade_vm.Interp.run_facade ~quicken:true ~tier2:true ~tier2_hot:2 pl in
   let par =
-    Facade_vm.Interp.run_facade ~quicken:true ~workers:4 ~tier2:true ~tier2_hot:2
-      ~osr:true pl
+    Facade_vm.Interp.run_facade ~quicken:true ~workers:4 ~tier2:true ~tier2_hot:2 pl
   in
   key fac1 = key seq && key fac1 = key par
 
-let prop_osr_differential =
-  QCheck.Test.make ~name:"random programs: OSR tier2 = tier1, workers 1/4" ~count:60
+let prop_workers_differential =
+  QCheck.Test.make ~name:"random programs: tier2 = tier1, workers 1/4" ~count:60
     (QCheck.make
        ~print:(fun ops -> Printf.sprintf "<%d ops>" (List.length ops))
        QCheck.Gen.(list_size (int_range 0 60) op_gen))
-    run_osr_differential
+    run_workers_differential
 
 let test_empty_program () =
   Alcotest.(check bool) "no ops" true (run_differential [])
@@ -420,6 +415,6 @@ let () =
         [
           Alcotest.test_case "directed receiver flips" `Quick test_directed_tier_flip;
           QCheck_alcotest.to_alcotest prop_tier_differential;
-          QCheck_alcotest.to_alcotest prop_osr_differential;
+          QCheck_alcotest.to_alcotest prop_workers_differential;
         ] );
     ]
