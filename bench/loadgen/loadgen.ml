@@ -45,7 +45,7 @@ let args =
   [
     ("--socket", Arg.Set_string socket_path, "PATH daemon socket (default facade.sock)");
     ("--in-process", Arg.Set in_process, " start the daemon inside this process");
-    ("--pool-workers", Arg.Set_int pool_workers, "N in-process daemon pool size");
+    ("--pool-workers", Arg.Set_int pool_workers, "N in-process daemon pool size, at least 1");
     ("--runners", Arg.Set_int runners, "N in-process daemon runner threads");
     ("--program", Arg.Set_string program, "NAME sample to submit (default pagerank)");
     ("--workers", Arg.Set_int workers, "N per-job worker request (0 = sequential)");
@@ -296,6 +296,10 @@ let () =
     |> List.filter (fun s -> s <> "")
   in
   if tenant_names = [] then failwith "loadgen: no tenants";
+  if !pool_workers < 1 then begin
+    Printf.eprintf "loadgen: --pool-workers must be at least 1, not %d\n" !pool_workers;
+    exit 2
+  end;
   let server =
     if not !in_process then None
     else

@@ -721,9 +721,10 @@ let serve_cmd =
       & opt int 2
       & info [ "pool-workers" ] ~docv:"N"
           ~doc:
-            "Size of the shared domain pool parallel jobs run on. The pool is \
-             spawned once at startup and reused by every submission; 0 disables \
-             it (parallel jobs then spawn private pools).")
+            "Size of the domain pool every job computes on, at least 1. The pool \
+             is spawned once at startup and reused by every submission: a \
+             sequential job runs as one pool task, a parallel job spreads its \
+             threads over the pool.")
   in
   let runners_arg =
     Arg.(
@@ -790,6 +791,9 @@ let serve_cmd =
   let run socket pool_workers runners max_queue job_pages job_heap_mb tenant_specs
       no_default trace_dir =
     let tenants = List.map parse_tenant tenant_specs in
+    if pool_workers < 1 then
+      `Error (false, Printf.sprintf "--pool-workers must be at least 1, not %d" pool_workers)
+    else
     match List.find_map (function Error s -> Some s | Ok _ -> None) tenants with
     | Some spec ->
         `Error
@@ -798,7 +802,7 @@ let serve_cmd =
         let cfg =
           {
             Service.Server.socket_path = socket;
-            pool_workers = max 0 pool_workers;
+            pool_workers;
             sched_config =
               {
                 Service.Scheduler.default_config with

@@ -42,7 +42,10 @@ let submit t s : (int, [ `Rejected of Proto.reject | `Error of string ]) result 
   | Ok _ -> Error (`Error "unexpected response to Submit")
   | Error m -> Error (`Error m)
 
-(* Nonblocking peek at a job: [`Pending] while queued/running. *)
+(* One [Result] request: [`Pending] at once while the job is queued; a
+   running job's answer comes when it ends. An outcome or failure is
+   delivered once; the daemon then forgets the job, so a second poll of
+   it is [`Error "unknown job N"]. *)
 let poll t id : [ `Pending | `Outcome of Proto.outcome | `Failed of string | `Error of string ] =
   match request t (Proto.Result id) with
   | Ok (Proto.Job_status (Proto.Queued | Proto.Running)) -> `Pending

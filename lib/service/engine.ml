@@ -4,9 +4,14 @@
    classify/transform, the optimizer, linking, quickening — and builds
    one detached warm tier ({!Facade_vm.Interp.make_tier}); every later
    run of that program reuses the cached pipeline and tier, so repeat
-   submissions see zero tier-2 compiles. The domain pool is created once
-   at server start and handed to every parallel run ([?pool]), which is
-   what amortizes [Domain.spawn] to zero across submissions. *)
+   submissions see zero tier-2 compiles.
+
+   Every job computes on the domain pool, which is created once at
+   server start and lives as long as the engine, so [Domain.spawn] costs
+   nothing per submission. A parallel job hands the pool to
+   {!Facade_vm.Interp.run_facade} ([?pool]); a sequential job runs as one
+   pool task while the calling runner systhread parks, so domain 0's
+   runtime lock stays free for the daemon's connection threads. *)
 
 module I = Facade_vm.Interp
 module ES = Facade_vm.Exec_stats
@@ -21,23 +26,22 @@ type entry = {
 type t = {
   mu : Mutex.t;  (* guards [programs] and [compiles] *)
   programs : (string, entry) Hashtbl.t;
-  pool : Parallel.Pool.t option;  (* None when pool_workers = 0 *)
+  pool : Parallel.Pool.t;
   pool_workers : int;
   mutable compiles : int;  (* pipelines compiled (not tier-2 compiles) *)
 }
 
 let create ~pool_workers =
+  if pool_workers < 1 then invalid_arg "Engine.create: pool_workers must be at least 1";
   {
     mu = Mutex.create ();
     programs = Hashtbl.create 8;
-    pool =
-      (if pool_workers > 0 then Some (Parallel.Pool.create ~workers:pool_workers)
-       else None);
+    pool = Parallel.Pool.create ~workers:pool_workers;
     pool_workers;
     compiles = 0;
   }
 
-let shutdown t = Option.iter Parallel.Pool.shutdown t.pool
+let shutdown t = Parallel.Pool.shutdown t.pool
 
 let with_mu t f =
   Mutex.lock t.mu;
@@ -88,21 +92,24 @@ type run_result = {
    granted: they become the run's store caps, so runtime enforcement
    matches admission exactly. Raises whatever the VM raises (notably
    [Pagestore.Store.Quota_exceeded]); the scheduler maps that to a
-   failed job. *)
+   failed job. A sequential job's exception is raised on a pool domain
+   and re-raised here by the join. *)
 let run t entry ~workers ~pages ~heap ~max_steps =
   let t0 = Unix.gettimeofday () in
+  let facade ?pool () =
+    I.run_facade ~quicken:true ~tier:entry.e_tier ~page_quota:pages ~heap_budget:heap
+      ~max_steps ?pool entry.e_pl
+  in
   let o =
-    match (workers, t.pool) with
-    | 0, _ ->
-        I.run_facade ~quicken:true ~tier:entry.e_tier ~page_quota:pages
-          ~heap_budget:heap ~max_steps entry.e_pl
-    | w, Some pool ->
-        ignore w;
-        I.run_facade ~quicken:true ~tier:entry.e_tier ~page_quota:pages
-          ~heap_budget:heap ~max_steps ~pool entry.e_pl
-    | w, None ->
-        I.run_facade ~quicken:true ~tier:entry.e_tier ~page_quota:pages
-          ~heap_budget:heap ~max_steps ~workers:w entry.e_pl
+    if workers > 0 then facade ~pool:t.pool ()
+    else begin
+      (* Park rather than help: helping would compute on domain 0. *)
+      let out = ref None in
+      let g = Parallel.Sched.group t.pool in
+      Parallel.Sched.spawn g (fun () -> out := Some (facade ()));
+      Parallel.Sched.wait ~help:false g;
+      Option.get !out
+    end
   in
   let run_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
   let st = o.I.stats in

@@ -30,8 +30,12 @@ type submit = {
 
 type request =
   | Submit of submit
-  | Status of int
+  | Status of int  (* answered at once *)
   | Result of int
+      (* A queued job answers [Job_status Queued] at once; a running job
+         answers when it ends. [Job_outcome]/[Job_failed] is handed out
+         once: the daemon then drops the job, and a later [Status] or
+         [Result] for it gets [Err "unknown job N"]. *)
   | Tenant_stats of string
   | Server_stats
   | Shutdown

@@ -8,9 +8,18 @@
    admission granted. Every rejection is structured ({!Proto.reject}):
    a code, a human line, and the used/limit pair that drove it.
 
-   Runners are plain systhreads: jobs block on I/O waits and parallel
-   joins, not on OCaml compute in this domain, and parallel compute runs
-   on the engine's shared domain pool. *)
+   Runners are plain systhreads in domain 0 that compute nothing: each
+   hands its job to {!Engine.run}, which computes on the engine's
+   server-lifetime domain pool, and parks until the job ends, so domain
+   0's runtime lock is left to the connection threads. Job-table writes
+   and every tenant-tracer instant happen on the runners and the
+   connection threads under [t.mu], all in domain 0: a tracer gives
+   each domain that writes it its own ring, and pool domains never
+   write one.
+
+   A finished or failed job stays in the job table until a [Result]
+   hands its outcome out ({!take_result}); then it is dropped, so the
+   table holds only jobs nobody has collected. *)
 
 module Store = Pagestore.Store
 
@@ -284,24 +293,34 @@ let submit t (s : Proto.submit) : (int, Proto.reject) result =
 
 let job_state t id = locked t (fun () -> Option.map (fun j -> j.j_state) (Hashtbl.find_opt t.jobs id))
 
-(* Block until job [id] leaves the queue/running states. *)
+(* Under [t.mu]: job [id] once [blocks] no longer holds of its state;
+   [None] if it is not, or no longer, in the table. *)
+let rec await_locked t id blocks =
+  match Hashtbl.find_opt t.jobs id with
+  | Some j when blocks j.j_state ->
+      Condition.wait t.changed t.mu;
+      await_locked t id blocks
+  | j -> j
+
+(* Block until job [id] leaves the queue/running states; [None] if the
+   job is unknown or is dropped meanwhile. *)
 let wait_job t id =
-  Mutex.lock t.mu;
-  let rec loop () =
-    match Hashtbl.find_opt t.jobs id with
-    | None ->
-        Mutex.unlock t.mu;
-        None
-    | Some j -> (
-        match j.j_state with
-        | Done _ | Failed _ ->
-            Mutex.unlock t.mu;
-            Some j.j_state
-        | Queued | Running ->
-            Condition.wait t.changed t.mu;
-            loop ())
-  in
-  loop ()
+  locked t (fun () ->
+      await_locked t id (function Queued | Running -> true | Done _ | Failed _ -> false)
+      |> Option.map (fun j -> j.j_state))
+
+(* The [Result] request: a queued job's state at once, a running job's
+   outcome when it ends. A finished or failed job is handed out once and
+   dropped from the table, so a later request for it finds nothing. *)
+let take_result t id =
+  locked t (fun () ->
+      match await_locked t id (function Running -> true | _ -> false) with
+      | None -> None
+      | Some j ->
+          (match j.j_state with
+          | Done _ | Failed _ -> Hashtbl.remove t.jobs id
+          | Queued | Running -> ());
+          Some j.j_state)
 
 let wait_idle t =
   Mutex.lock t.mu;

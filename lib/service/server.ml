@@ -11,7 +11,7 @@
 
 type config = {
   socket_path : string;
-  pool_workers : int;  (* shared domain pool size; 0 = no shared pool *)
+  pool_workers : int;  (* size of the domain pool every job computes on; >= 1 *)
   sched_config : Scheduler.config;
   tenants : (string * Tenant.quota) list;
   default_quota : Tenant.quota option;  (* for tenants not listed above *)
@@ -54,7 +54,7 @@ let respond t (req : Proto.request) : Proto.response =
       | Some (Scheduler.Done _) -> Proto.Job_status Proto.Finished
       | Some (Scheduler.Failed _) -> Proto.Job_status Proto.Failed)
   | Proto.Result id -> (
-      match Scheduler.job_state t.sched id with
+      match Scheduler.take_result t.sched id with
       | None -> Proto.Err (Printf.sprintf "unknown job %d" id)
       | Some Scheduler.Queued -> Proto.Job_status Proto.Queued
       | Some Scheduler.Running -> Proto.Job_status Proto.Running

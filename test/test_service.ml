@@ -183,9 +183,11 @@ let prop_framing_roundtrip =
 
 let generous = { Tn.q_pages = 4096; q_heap_bytes = 256 lsl 20; q_inflight = 64 }
 
-(* Two runner threads (the default config), so jobs genuinely overlap. *)
+(* Two runner threads (the default config), so jobs genuinely overlap;
+   one pool worker, so they also queue for the pool their compute runs
+   on. *)
 let mk_sched ?(tenants = []) ?default_quota () =
-  let engine = Eng.create ~pool_workers:0 in
+  let engine = Eng.create ~pool_workers:1 in
   let sched = Sch.create ?default_quota ~engine ~tenants () in
   (engine, sched)
 
@@ -360,7 +362,7 @@ let prop_interleaved_tenants =
        ~print:(fun l -> String.concat "" (List.map string_of_int l))
        QCheck.Gen.(list_size (int_range 6 24) (int_bound 2)))
     (fun picks ->
-      let engine = Eng.create ~pool_workers:0 in
+      let engine = Eng.create ~pool_workers:1 in
       Fun.protect ~finally:(fun () -> Eng.shutdown engine) @@ fun () ->
       (* Solo baseline straight through the engine: no tenant involved. *)
       let entry = Option.get (Eng.lookup engine "fig2") in
@@ -408,17 +410,82 @@ let prop_interleaved_tenants =
 
 let sock_path () = Printf.sprintf "/tmp/facade-test-%d-%d.sock" (Unix.getpid ()) (Random.int 100000)
 
-let start_server ?(tenants = []) () =
+let start_server ?(tenants = []) ?(sched_config = Sch.default_config) () =
   let cfg =
     {
       Srv.default_config with
       Srv.socket_path = sock_path ();
-      pool_workers = 0;
+      pool_workers = 1;
+      sched_config;
       tenants;
       default_quota = Some generous;
     }
   in
   (Srv.start cfg, cfg.Srv.socket_path)
+
+(* Occupy every worker of [pool] until the returned function is called:
+   every job computes on the pool, so one started meanwhile stays
+   [Running]. The returned function may be called more than once. *)
+let hold_pool pool =
+  let n = Parallel.Pool.size pool in
+  let started = Atomic.make 0 and released = Atomic.make false in
+  for _ = 1 to n do
+    Parallel.Pool.submit pool (fun () ->
+        Atomic.incr started;
+        while not (Atomic.get released) do
+          Unix.sleepf 0.001
+        done)
+  done;
+  while Atomic.get started < n do
+    Unix.sleepf 0.001
+  done;
+  fun () -> Atomic.set released true
+
+(* [f ()] on its own thread; [None] if it has not returned in [secs]
+   (the thread is then left to finish on its own). *)
+let within secs f =
+  let r = Atomic.make None in
+  let th = Thread.create (fun () -> Atomic.set r (Some (f ()))) () in
+  let deadline = Unix.gettimeofday () +. secs in
+  while Option.is_none (Atomic.get r) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.001
+  done;
+  match Atomic.get r with
+  | Some v ->
+      Thread.join th;
+      Some v
+  | None -> None
+
+let request_ok c req =
+  match Cl.request c req with Ok r -> r | Error m -> Alcotest.failf "client error: %s" m
+
+let submit_id c s =
+  match Cl.submit c s with
+  | Ok id -> id
+  | Error (`Rejected rj) -> Alcotest.failf "rejected: %s" (P.reject_message rj)
+  | Error (`Error m) -> Alcotest.failf "submit error: %s" m
+
+let show_response = function
+  | P.Job_status P.Queued -> "Job_status Queued"
+  | P.Job_status P.Running -> "Job_status Running"
+  | P.Job_status _ -> "Job_status (ended)"
+  | P.Job_outcome _ -> "Job_outcome"
+  | P.Job_failed m -> "Job_failed " ^ m
+  | P.Err m -> "Err " ^ m
+  | _ -> "another response"
+
+(* Poll [Status] until job [id] is seen running. *)
+let await_running c id =
+  let deadline = Unix.gettimeofday () +. 5. in
+  let rec go () =
+    match request_ok c (P.Status id) with
+    | P.Job_status P.Running -> ()
+    | P.Job_status P.Queued when Unix.gettimeofday () < deadline ->
+        Thread.delay 0.001;
+        go ()
+    | r -> Alcotest.failf "job %d: %s while the pool is held" id (show_response r)
+  in
+  go ()
 
 (* Malformed traffic — an oversized length prefix, then a well-framed
    garbage payload on a fresh connection — must each get a structured
@@ -472,6 +539,7 @@ let test_daemon_survives_garbage () =
 let test_socket_end_to_end () =
   let tiny = { Tn.q_pages = 2; q_heap_bytes = 1 lsl 20; q_inflight = 4 } in
   let srv, path = start_server ~tenants:[ ("small", tiny) ] () in
+  Fun.protect ~finally:(fun () -> Srv.stop srv) @@ fun () ->
   let c = Cl.connect path in
   let ok = function Ok v -> v | Error m -> Alcotest.failf "client error: %s" m in
   let oc1 =
@@ -505,6 +573,147 @@ let test_socket_end_to_end () =
   Cl.close c;
   Srv.wait srv;
   Alcotest.(check bool) "socket removed on shutdown" false (Sys.file_exists path)
+
+(* [Result] on a running job answers when the job ends, with its
+   outcome: for a sequential job computing as a pool task and for a
+   parallel one spread over the pool. *)
+let test_result_waits_for_running () =
+  let srv, path = start_server () in
+  let release = ref ignore in
+  Fun.protect
+    ~finally:(fun () ->
+      !release ();
+      Srv.stop srv)
+  @@ fun () ->
+  let ctl = Cl.connect path in
+  let warm prog workers =
+    ignore (Cl.wait_outcome ctl (submit_id ctl (sub ~prog ~workers ())))
+  in
+  warm "pagerank" 0;
+  warm "pagerank-par" 2;
+  release := hold_pool srv.Srv.engine.Eng.pool;
+  let seq = submit_id ctl (sub ~prog:"pagerank" ()) in
+  let par = submit_id ctl (sub ~prog:"pagerank-par" ~workers:2 ()) in
+  await_running ctl seq;
+  await_running ctl par;
+  (* Each [Result] on its own connection, sent while the job is held. *)
+  let answer (name, id) =
+    let r = ref None and c = Cl.connect path in
+    let th =
+      Thread.create
+        (fun () ->
+          r := Some (request_ok c (P.Result id));
+          Cl.close c)
+        ()
+    in
+    (name, r, th)
+  in
+  let answers = List.map answer [ ("sequential", seq); ("parallel", par) ] in
+  Thread.delay 0.05;
+  !release ();
+  List.iter
+    (fun (name, r, th) ->
+      Thread.join th;
+      match !r with
+      | Some (P.Job_outcome oc) ->
+          Alcotest.(check bool) (name ^ " ran") true (oc.P.oc_steps > 0)
+      | Some r -> Alcotest.failf "%s: Result answered %s" name (show_response r)
+      | None -> Alcotest.failf "%s: no answer" name)
+    answers;
+  Cl.close ctl
+
+(* [Status] answers at once whatever the job's state, and so does
+   [Result] on a queued job. A delivered outcome is handed out once:
+   afterwards the job is unknown to both requests. *)
+let test_status_at_once_and_delivery_once () =
+  let srv, path =
+    start_server ~sched_config:{ Sch.default_config with Sch.c_runners = 1 } ()
+  in
+  let release = ref ignore in
+  Fun.protect
+    ~finally:(fun () ->
+      !release ();
+      Srv.stop srv)
+  @@ fun () ->
+  let c = Cl.connect path in
+  ignore (Cl.wait_outcome c (submit_id c (sub ~prog:"pagerank" ())));
+  release := hold_pool srv.Srv.engine.Eng.pool;
+  let running = submit_id c (sub ~prog:"pagerank" ()) in
+  await_running c running;
+  let queued = submit_id c (sub ~prog:"pagerank" ()) in
+  let at_once what req want =
+    match within 2. (fun () -> request_ok c req) with
+    | None -> Alcotest.failf "%s did not answer at once" what
+    | Some r -> Alcotest.(check string) what want (show_response r)
+  in
+  at_once "Status of the running job" (P.Status running) "Job_status Running";
+  at_once "Status of the queued job" (P.Status queued) "Job_status Queued";
+  at_once "Result of the queued job" (P.Result queued) "Job_status Queued";
+  !release ();
+  List.iter
+    (fun id ->
+      (match Cl.wait_outcome c id with
+      | Ok _ -> ()
+      | Error m -> Alcotest.failf "job %d: %s" id m);
+      let gone = Printf.sprintf "Err unknown job %d" id in
+      Alcotest.(check string) "second Result" gone (show_response (request_ok c (P.Result id)));
+      Alcotest.(check string) "Status after delivery" gone
+        (show_response (request_ok c (P.Status id))))
+    [ running; queued ];
+  Cl.close c
+
+(* A sequential job that dies on its pool domain fails alone: the client
+   gets [Job_failed] with the message the runner always gave, the
+   tenant's reservation is released, and the next job on the same engine
+   runs. *)
+let check_pool_job_failure ?sched_config ~doomed ~message () =
+  let srv, path = start_server ?sched_config () in
+  Fun.protect ~finally:(fun () -> Srv.stop srv) @@ fun () ->
+  let c = Cl.connect path in
+  let id = submit_id c doomed in
+  let rec ended () =
+    match Cl.poll c id with
+    | `Pending ->
+        Thread.delay 0.001;
+        ended ()
+    | r -> r
+  in
+  (match ended () with
+  | `Failed m -> Alcotest.(check bool) (Printf.sprintf "message (%s)" m) true (message m)
+  | `Outcome _ -> Alcotest.fail "the doomed job succeeded"
+  | `Pending | `Error _ -> Alcotest.fail "no failure reported");
+  (match Cl.tenant_report c doomed.P.sb_tenant with
+  | Ok r ->
+      Alcotest.(check int) "pages released" 0 r.P.tn_pages_reserved;
+      Alcotest.(check int) "nothing in flight" 0 r.P.tn_inflight;
+      Alcotest.(check int) "one failure" 1 r.P.tn_failed
+  | Error m -> Alcotest.failf "tenant report: %s" m);
+  (match Cl.wait_outcome c (submit_id c (sub ~prog:"fig2" ())) with
+  | Ok oc -> Alcotest.(check bool) "next job ran" true (oc.P.oc_steps > 0)
+  | Error m -> Alcotest.failf "next job: %s" m);
+  Cl.close c
+
+let solo_steps prog =
+  let engine = Eng.create ~pool_workers:1 in
+  Fun.protect ~finally:(fun () -> Eng.shutdown engine) @@ fun () ->
+  let entry = Option.get (Eng.lookup engine prog) in
+  (Eng.run engine entry ~workers:0 ~pages:0 ~heap:0 ~max_steps:50_000_000).Eng.r_outcome
+    .P.oc_steps
+
+let test_pool_job_out_of_steps () =
+  let small = solo_steps "fig2" and big = solo_steps "pagerank" in
+  Alcotest.(check bool) "pagerank outruns fig2" true (big > 2 * small);
+  let expected = Printexc.to_string (Facade_vm.Interp.Vm_error "step budget exceeded") in
+  check_pool_job_failure
+    ~sched_config:{ Sch.default_config with Sch.c_max_steps = (small + big) / 2 }
+    ~doomed:(sub ~prog:"pagerank" ()) ~message:(String.equal expected) ()
+
+let test_pool_job_over_quota () =
+  let prefix = "quota exceeded: pages " and suffix = " limit=1" in
+  check_pool_job_failure ~doomed:(sub ~prog:"pagerank" ~pages:1 ())
+    ~message:(fun m ->
+      String.starts_with ~prefix m && String.ends_with ~suffix m)
+    ()
 
 let () =
   Random.self_init ();
@@ -543,5 +752,13 @@ let () =
             test_daemon_survives_garbage;
           Alcotest.test_case "socket end-to-end with warm tier" `Quick
             test_socket_end_to_end;
+          Alcotest.test_case "Result on a running job waits for its outcome" `Quick
+            test_result_waits_for_running;
+          Alcotest.test_case "Status answers at once; outcomes are delivered once" `Quick
+            test_status_at_once_and_delivery_once;
+          Alcotest.test_case "a job out of steps on the pool fails alone" `Quick
+            test_pool_job_out_of_steps;
+          Alcotest.test_case "a job over quota on the pool fails alone" `Quick
+            test_pool_job_over_quota;
         ] );
     ]
